@@ -33,10 +33,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.config import StudyConfig, SurrogateScale
+from repro.config import StudyConfig, SurrogateScale, current_settings, use_settings
 from repro.obs.trace import Tracer, install_tracer, span, uninstall_tracer
 from repro.reliability import RetryPolicy
-from repro.reliability.wiring import activate_policy, deactivate_policy
 from repro.runtime import grid
 from repro.runtime.executor import make_executor
 from repro.study import table3
@@ -170,12 +169,9 @@ def run_bench(smoke: bool = False, out_path: Path = _OUT_PATH) -> dict:
     # path) — without it, only the handful of per-cell spans would be
     # exercised and the measurement would say nothing.  Traces land in a
     # temp dir: they are multi-megabyte transients, not tracked results.
-    activate_policy(RetryPolicy(max_attempts=2))
-    try:
-        with tempfile.TemporaryDirectory(prefix="bench_obs_") as scratch:
-            untraced, traced = _run_modes(config, Path(scratch), repeats)
-    finally:
-        deactivate_policy()
+    retrying = current_settings().with_overrides(retry=RetryPolicy(max_attempts=2))
+    with use_settings(retrying), tempfile.TemporaryDirectory(prefix="bench_obs_") as scratch:
+        untraced, traced = _run_modes(config, Path(scratch), repeats)
     assert traced["tables"] == untraced["tables"], (
         "tracing changed study results"
     )

@@ -12,8 +12,9 @@ interpreter and needs no dependencies) and requires a docstring on:
 Private names (leading underscore) and dunders other than ``__init__``
 are exempt.  Exit status is non-zero when anything is missing, so CI can
 gate on it; the default targets are the packages held at 100%:
-``repro.llm``, ``repro.runtime``, ``repro.reliability``, ``repro.serving``,
-``repro.obs``, ``repro.routing``, plus the inference fast path
+``repro.config`` (the run settings), ``repro.llm``, ``repro.runtime``,
+``repro.reliability``, ``repro.serving``, ``repro.obs``, ``repro.routing``,
+plus the inference fast path
 (``repro.nn.fastpath``), the trace-report script and the
 obs/inference/routing benchmarks.
 
@@ -32,6 +33,7 @@ from pathlib import Path
 
 #: Packages that must stay at 100% docstring coverage in CI.
 DEFAULT_TARGETS = (
+    "src/repro/config.py",
     "src/repro/llm",
     "src/repro/runtime",
     "src/repro/reliability",

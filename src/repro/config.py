@@ -17,15 +17,28 @@ identical.  Three named profiles are provided:
 ``full``
     The closest feasible approximation of the paper's scale; documented for
     long offline runs.
+
+How a run *executes* — worker pool, completion cache, retries, injected
+faults, fail-fast, tracing and the inference kernels — is a separate,
+table-neutral concern held by :class:`RunSettings`.  It is resolved once
+per run (explicit argument > ``REPRO_*`` variable > default; see
+:data:`ENV_VARIABLES`) and installed with :func:`use_settings`; every
+layer reads :func:`current_settings` instead of the environment.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .reliability.faults import FaultPlan
+    from .reliability.policy import RetryPolicy
 
 #: Random seeds used for the paper's five repetitions (Section 2.2).
 PAPER_SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -79,20 +92,6 @@ class StudyConfig:
     #: Scale factor applied to every dataset's generated pair counts
     #: (1.0 reproduces the Table-1 sizes exactly).
     dataset_scale: float = 1.0
-    #: Worker-pool size for the study grid (overridable by the
-    #: ``REPRO_WORKERS`` environment variable; see :mod:`repro.runtime`).
-    workers: int = 1
-    #: Executor backend: ``auto`` | ``serial`` | ``thread`` | ``process``
-    #: (``auto`` picks ``thread`` when ``workers > 1``).
-    executor_backend: str = "auto"
-    #: Whole-cell re-run budget after a retryable failure (on top of the
-    #: per-request retries the active :class:`repro.reliability.RetryPolicy`
-    #: performs; overridable by ``REPRO_CELL_RETRIES``).
-    cell_retries: int = 1
-    #: Abort the study on the first failed grid cell instead of recording
-    #: a :class:`repro.runtime.grid.CellFailure` (overridable by
-    #: ``REPRO_FAIL_FAST`` and ``--fail-fast``).
-    fail_fast: bool = False
 
     def __post_init__(self) -> None:
         """Validate every knob combination (see individual messages)."""
@@ -108,32 +107,10 @@ class StudyConfig:
             raise ConfigurationError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.executor_backend not in ("auto", "serial", "thread", "process"):
-            raise ConfigurationError(
-                f"unknown executor_backend {self.executor_backend!r}"
-            )
-        if self.cell_retries < 0:
-            raise ConfigurationError("cell_retries must be >= 0")
 
     def with_seeds(self, seeds: tuple[int, ...]) -> "StudyConfig":
         """Return a copy of this config with a different seed set."""
         return replace(self, seeds=seeds)
-
-    def with_workers(self, workers: int, backend: str = "auto") -> "StudyConfig":
-        """Return a copy of this config with a worker-pool setting."""
-        return replace(self, workers=workers, executor_backend=backend)
-
-    def with_reliability(
-        self, cell_retries: int | None = None, fail_fast: bool | None = None
-    ) -> "StudyConfig":
-        """Return a copy with different cell-failure handling knobs."""
-        return replace(
-            self,
-            cell_retries=self.cell_retries if cell_retries is None else cell_retries,
-            fail_fast=self.fail_fast if fail_fast is None else fail_fast,
-        )
 
 
 #: Named scale profiles (see module docstring).
@@ -205,42 +182,201 @@ class InferenceConfig:
     bucketing: bool = True
 
 
-def _env_flag(name: str, default: bool) -> bool:
-    """Parse a 0/1/true/false environment override."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
+#: Executor backends a run can select (``auto`` picks ``thread`` for
+#: more than one worker, else ``serial``).
+EXECUTOR_BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
+
+
+def _flag(raw: str) -> bool:
+    """Parse a 1/0, true/false, yes/no or on/off switch."""
+    value = raw.lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"{name} must be boolean-like, got {raw!r}")
+    raise ValueError("expected one of 1/0, true/false, yes/no, on/off")
 
 
-_INFERENCE_OVERRIDE: list[InferenceConfig | None] = [None]
+_BACKEND_CHOICES = ("auto",) + EXECUTOR_BACKENDS
+
+
+def _backend(raw: str) -> str:
+    """Validate an executor backend name."""
+    if raw not in _BACKEND_CHOICES:
+        raise ValueError(f"choose one of: {', '.join(_BACKEND_CHOICES)}")
+    return raw
+
+
+def _retry_policy(raw: str) -> "RetryPolicy":
+    """Parse a :meth:`repro.reliability.policy.RetryPolicy.parse` spec."""
+    from .reliability.policy import RetryPolicy
+
+    return RetryPolicy.parse(raw)
+
+
+def _fault_plan(raw: str) -> "FaultPlan":
+    """Parse a :meth:`repro.reliability.faults.FaultPlan.parse` spec."""
+    from .reliability.faults import FaultPlan
+
+    return FaultPlan.parse(raw)
+
+
+#: Every ``REPRO_*`` variable a run honours: variable -> (field, parser).
+#: The three inference switches fill fields of
+#: :attr:`RunSettings.inference`.  docs/ARCHITECTURE.md tabulates them
+#: with their CLI flags and defaults.
+ENV_VARIABLES: dict[str, tuple[str, Callable[[str], object]]] = {
+    "REPRO_WORKERS": ("workers", int),
+    "REPRO_EXECUTOR": ("backend", _backend),
+    "REPRO_CELL_TIMEOUT_S": ("cell_timeout_s", float),
+    "REPRO_CELL_RETRIES": ("cell_retries", int),
+    "REPRO_FAIL_FAST": ("fail_fast", _flag),
+    "REPRO_CACHE": ("cache", _flag),
+    "REPRO_CACHE_PATH": ("cache_path", str),
+    "REPRO_RETRY": ("retry", _retry_policy),
+    "REPRO_FAULTS": ("faults", _fault_plan),
+    "REPRO_TRACE": ("trace_path", str),
+    "REPRO_OBS": ("obs", _flag),
+    "REPRO_FAST_PATH": ("fast_path", _flag),
+    "REPRO_INFER_FP32": ("float32", _flag),
+    "REPRO_LENGTH_BUCKETS": ("bucketing", _flag),
+}
+
+_INFERENCE_FIELDS = ("fast_path", "float32", "bucketing")
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """Every run-wide setting, resolved once per run.
+
+    Unlike :class:`StudyConfig`, nothing here changes a table value: these
+    settings choose how a run executes (pool, cache, failure handling,
+    telemetry, inference kernels).  :meth:`resolve` builds them from
+    explicit arguments and ``REPRO_*`` variables; :func:`use_settings`
+    installs them for the code that runs underneath.
+    """
+
+    #: Worker-pool size for the study grid.
+    workers: int = 1
+    #: ``auto`` | ``serial`` | ``thread`` | ``process``.
+    backend: str = "auto"
+    #: Per-cell wall-clock watchdog on the pool backends (``None`` = off).
+    cell_timeout_s: float | None = None
+    #: Whole-cell re-run budget after a retryable failure.
+    cell_retries: int = 1
+    #: Abort on the first failed grid cell instead of recording it.
+    fail_fast: bool = False
+    #: Answer repeated prompts from the process-wide completion cache.
+    cache: bool = False
+    #: JSON-lines file the completion cache loads from and saves to.
+    cache_path: str | None = None
+    #: Per-request retry policy (``None`` = no retry layer).
+    retry: "RetryPolicy | None" = None
+    #: Injected fault plan (``None`` = fault-free).
+    faults: "FaultPlan | None" = None
+    #: Trace JSONL path; setting it turns observability on.
+    trace_path: str | None = None
+    #: Collect metrics without a trace file.
+    obs: bool = False
+    inference: InferenceConfig = field(default_factory=InferenceConfig)
+
+    def __post_init__(self) -> None:
+        """Validate the pool, watchdog and retry-budget settings."""
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if self.backend not in _BACKEND_CHOICES:
+            raise ConfigurationError(f"unknown executor backend {self.backend!r}")
+        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
+            raise ConfigurationError(
+                f"cell timeout must be positive, got {self.cell_timeout_s}"
+            )
+        if self.cell_retries < 0:
+            raise ConfigurationError(
+                f"cell_retries must be >= 0, got {self.cell_retries}"
+            )
+
+    @property
+    def executor_backend(self) -> str:
+        """:attr:`backend` with ``auto`` resolved against :attr:`workers`."""
+        if self.backend != "auto":
+            return self.backend
+        return "thread" if self.workers > 1 else "serial"
+
+    @classmethod
+    def resolve(
+        cls, env: Mapping[str, str] = os.environ, **explicit: object
+    ) -> "RunSettings":
+        """Settings from ``explicit`` arguments, then ``env``, then defaults.
+
+        An explicit ``None`` counts as not given.  A blank variable counts
+        as unset; one that does not parse raises
+        :class:`ConfigurationError` naming it, even when an explicit
+        argument overrides it.  ``cache`` defaults to on when
+        ``REPRO_CACHE_PATH`` is set.  This is the only place the package
+        reads a ``REPRO_*`` variable.
+
+        >>> RunSettings.resolve({"REPRO_WORKERS": "4"}).executor_backend
+        'thread'
+        >>> RunSettings.resolve({"REPRO_WORKERS": "4"}, workers=2).workers
+        2
+        """
+        values: dict[str, object] = {}
+        for variable, (name, parse) in ENV_VARIABLES.items():
+            raw = env.get(variable, "").strip()
+            if raw:
+                try:
+                    values[name] = parse(raw)
+                except (ValueError, ConfigurationError) as error:
+                    raise ConfigurationError(f"{variable}={raw!r}: {error}") from None
+        inference = InferenceConfig(
+            **{name: values.pop(name) for name in _INFERENCE_FIELDS if name in values}
+        )
+        values.setdefault("cache", "cache_path" in values)
+        return cls(**values, inference=inference).with_overrides(**explicit)
+
+    def with_overrides(self, **explicit: object) -> "RunSettings":
+        """A copy with every non-``None`` keyword replaced (``self`` if none)."""
+        overrides = {k: v for k, v in explicit.items() if v is not None}
+        return replace(self, **overrides) if overrides else self
+
+
+_installed: RunSettings | None = None
+
+
+def install_settings(settings: RunSettings | None) -> RunSettings | None:
+    """Install ``settings`` process-wide (``None`` clears); return the old value.
+
+    A plain module global, not a context variable, so pool threads see
+    it; process-pool workers receive it through their initializer.
+    """
+    global _installed
+    previous, _installed = _installed, settings
+    return previous
+
+
+def current_settings() -> RunSettings:
+    """The installed settings, else a fresh :meth:`RunSettings.resolve`."""
+    return _installed if _installed is not None else RunSettings.resolve()
+
+
+@contextmanager
+def use_settings(settings: RunSettings) -> Iterator[RunSettings]:
+    """Install ``settings`` for the block; restore the previous on exit.
+
+    >>> with use_settings(RunSettings(workers=3)):
+    ...     current_settings().workers
+    3
+    """
+    previous = install_settings(settings)
+    try:
+        yield settings
+    finally:
+        install_settings(previous)
 
 
 def get_inference_config() -> InferenceConfig:
-    """The active inference configuration.
-
-    Resolution order: an :func:`inference_overrides` context, then the
-    ``REPRO_FAST_PATH`` / ``REPRO_INFER_FP32`` / ``REPRO_LENGTH_BUCKETS``
-    environment variables, then the defaults (all on).
-    """
-    if _INFERENCE_OVERRIDE[0] is not None:
-        return _INFERENCE_OVERRIDE[0]
-    default = InferenceConfig()
-    return InferenceConfig(
-        fast_path=_env_flag("REPRO_FAST_PATH", default.fast_path),
-        float32=_env_flag("REPRO_INFER_FP32", default.float32),
-        bucketing=_env_flag("REPRO_LENGTH_BUCKETS", default.bucketing),
-    )
-
-
-def set_inference_config(config: InferenceConfig | None) -> None:
-    """Install (or with ``None`` clear) a process-wide inference override."""
-    _INFERENCE_OVERRIDE[0] = config
+    """The active inference configuration (:attr:`RunSettings.inference`)."""
+    return current_settings().inference
 
 
 @contextmanager
@@ -248,24 +384,20 @@ def inference_overrides(
     fast_path: bool | None = None,
     float32: bool | None = None,
     bucketing: bool | None = None,
-):
+) -> Iterator[InferenceConfig]:
     """Temporarily override inference knobs (tests and benchmarks).
 
     >>> with inference_overrides(float32=False):
     ...     get_inference_config().float32
     False
     """
-    base = get_inference_config()
-    previous = _INFERENCE_OVERRIDE[0]
-    _INFERENCE_OVERRIDE[0] = InferenceConfig(
-        fast_path=base.fast_path if fast_path is None else fast_path,
-        float32=base.float32 if float32 is None else float32,
-        bucketing=base.bucketing if bucketing is None else bucketing,
+    settings = current_settings()
+    knobs = {"fast_path": fast_path, "float32": float32, "bucketing": bucketing}
+    inference = replace(
+        settings.inference, **{k: v for k, v in knobs.items() if v is not None}
     )
-    try:
-        yield _INFERENCE_OVERRIDE[0]
-    finally:
-        _INFERENCE_OVERRIDE[0] = previous
+    with use_settings(replace(settings, inference=inference)):
+        yield inference
 
 
 def get_profile(name: str) -> StudyConfig:

@@ -17,8 +17,9 @@ stage of which request spent the time*:
   as self-checksummed JSONL through the crash-safe atomic writers.
   Instrumented sites span grid cells, LLM request retries, batch
   chunks, scheduler flushes, serving requests and fast-path inference.
-* :mod:`repro.obs.wiring` — activation (``REPRO_TRACE`` /
-  ``REPRO_OBS`` / ``--trace``) and the :class:`ObservabilitySession`
+* :mod:`repro.obs.wiring` — activation (the run settings'
+  ``trace_path`` / ``obs``, i.e. ``--trace`` / ``REPRO_TRACE`` /
+  ``REPRO_OBS``) and the :class:`ObservabilitySession`
   lifecycle that produces the ``observability`` block of
   ``full_study.json``.
 
@@ -37,12 +38,7 @@ from .trace import (
     span,
     uninstall_tracer,
 )
-from .wiring import (
-    OBS_ENV,
-    TRACE_ENV,
-    ObservabilitySession,
-    activate_observability,
-)
+from .wiring import ObservabilitySession, activate_observability
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -55,8 +51,6 @@ __all__ = [
     "install_tracer",
     "span",
     "uninstall_tracer",
-    "OBS_ENV",
-    "TRACE_ENV",
     "ObservabilitySession",
     "activate_observability",
 ]

@@ -1,21 +1,20 @@
-"""Activation wiring for observability: env flags and session lifecycle.
+"""Activation wiring for observability: settings and session lifecycle.
 
 Observability is **off by default** — no tracer installed, no registry,
 every :func:`~repro.obs.trace.span` call returning the shared no-op —
 and that default is load-bearing: with it, study outputs are
 byte-identical to a build without this layer.  This module is the one
-place the layer turns on, mirroring the cache/retry/fault wiring
-conventions of :mod:`repro.reliability.wiring`:
+place the layer turns on, from two fields of the run's
+:class:`~repro.config.RunSettings`:
 
-``REPRO_TRACE``
-    Path of the trace JSONL file to write.  Setting it (or passing
-    ``--trace`` / ``trace_path=`` explicitly, which wins over the env)
-    enables span recording and metric collection for the run.
+``trace_path`` (``--trace`` / ``REPRO_TRACE``)
+    Path of the trace JSONL file to write; setting it enables span
+    recording and metric collection for the run.
 
-``REPRO_OBS``
-    ``1``-ish values enable the metrics registry *without* a trace file
-    — useful when only the ``observability`` block / ``/metrics``
-    output is wanted.  ``REPRO_TRACE`` implies it.
+``obs`` (``REPRO_OBS``)
+    Enables the metrics registry *without* a trace file — useful when
+    only the ``observability`` block / ``/metrics`` output is wanted.
+    A trace path implies it.
 
 :class:`ObservabilitySession` bundles one run's tracer + registry with
 an explicit lifecycle: ``install()`` makes them the process-wide
@@ -27,35 +26,14 @@ restores the no-op default.
 
 from __future__ import annotations
 
-import os
-
+from ..config import current_settings
 from .registry import MetricsRegistry, set_registry
 from .trace import Tracer, install_tracer, uninstall_tracer
 
 __all__ = [
-    "TRACE_ENV",
-    "OBS_ENV",
     "ObservabilitySession",
     "activate_observability",
 ]
-
-#: Environment variable naming the trace JSONL path (enables tracing).
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable enabling metrics collection without a trace file.
-OBS_ENV = "REPRO_OBS"
-
-#: Values of :data:`OBS_ENV` treated as "on".
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _env_trace_path() -> str | None:
-    value = os.environ.get(TRACE_ENV, "").strip()
-    return value or None
-
-
-def _env_obs_enabled() -> bool:
-    return os.environ.get(OBS_ENV, "").strip().lower() in _TRUTHY
 
 
 class ObservabilitySession:
@@ -133,13 +111,13 @@ def activate_observability(
 ) -> ObservabilitySession | None:
     """Build + install a session if observability is requested, else ``None``.
 
-    Resolution order mirrors the cache/retry wiring: an explicit
-    ``trace_path`` wins; otherwise :data:`TRACE_ENV` names the trace
-    file; otherwise a truthy :data:`OBS_ENV` enables metrics-only mode.
-    When none apply, nothing is installed and every instrumented call
-    site stays on the no-op fast path.
+    An explicit ``trace_path`` wins; otherwise the run's settings name
+    the trace file or (``obs``) ask for metrics-only mode.  When neither
+    applies, nothing is installed and every instrumented call site stays
+    on the no-op fast path.
     """
-    path = trace_path if trace_path is not None else _env_trace_path()
-    if path is None and not _env_obs_enabled():
+    settings = current_settings()
+    path = trace_path if trace_path is not None else settings.trace_path
+    if path is None and not settings.obs:
         return None
     return ObservabilitySession(path, clock=clock).install()

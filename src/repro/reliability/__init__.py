@@ -29,9 +29,9 @@ hosted models:
     :class:`DeadlineBudget` — one request-scoped time budget carved
     across queueing, retries and router hops via ``remaining()``.
 :mod:`repro.reliability.wiring`
-    Process-wide activation (``REPRO_RETRY`` / ``REPRO_FAULTS`` env
-    specs) and :func:`harden_client`, the one composition point the
-    study factories funnel every client through.
+    :func:`harden_client`, the one composition point the study
+    factories funnel every client through; it applies the retry policy
+    and fault plan of the run's :class:`~repro.config.RunSettings`.
 :mod:`repro.reliability.counters`
     Process-global retry/fault counters, aggregated into the ``runtime``
     block of ``full_study.json``.
@@ -50,16 +50,7 @@ from .faults import FaultInjector, FaultPlan
 from .hedge import HedgedCall
 from .policy import DEFAULT_POLICY, RetryPolicy, is_retryable
 from .retry import RetryingClient, validate_yes_no
-from .wiring import (
-    activate_faults,
-    activate_policy,
-    active_faults,
-    active_policy,
-    deactivate_faults,
-    deactivate_policy,
-    harden_client,
-    reliability_enabled,
-)
+from .wiring import harden_client
 
 __all__ = [
     "CircuitBreaker",
@@ -73,14 +64,7 @@ __all__ = [
     "RetryPolicy",
     "RetryingClient",
     "SystemClock",
-    "activate_faults",
-    "activate_policy",
-    "active_faults",
-    "active_policy",
-    "deactivate_faults",
-    "deactivate_policy",
     "harden_client",
     "is_retryable",
-    "reliability_enabled",
     "validate_yes_no",
 ]

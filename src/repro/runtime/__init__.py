@@ -51,9 +51,6 @@ from .executor import (
     StudyExecutor,
     ThreadStudyExecutor,
     make_executor,
-    resolve_backend,
-    resolve_cell_timeout,
-    resolve_workers,
 )
 from .journal import CellJournal, cell_key
 from .persist import (
@@ -85,7 +82,4 @@ __all__ = [
     "load_checked_json",
     "make_executor",
     "quarantine_file",
-    "resolve_backend",
-    "resolve_cell_timeout",
-    "resolve_workers",
 ]

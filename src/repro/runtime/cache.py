@@ -18,19 +18,20 @@ re-submitting, and the simulated dollars saved at the model's published
 batch price — surfaced in :meth:`repro.llm.batching.BatchJob.report` and
 in the ``runtime`` block of ``full_study.json``.
 
-A process-wide *active* cache can be installed with :func:`activate`
-(or implicitly via ``REPRO_CACHE=1`` / ``REPRO_CACHE_PATH``); the study
-factories wrap their clients through :func:`wrap_client`, which is a
-no-op when no cache is active, so default behaviour is unchanged.
+A process-wide *active* cache can be installed with :func:`activate`,
+or is created on first use when the run's
+:attr:`~repro.config.RunSettings.cache` is on; the study factories wrap
+their clients through :func:`wrap_client`, which is a no-op when no
+cache is active, so default behaviour is unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
+from ..config import current_settings
 from ..errors import CorruptStateError, CostModelError, LLMError
 from ..llm.client import LLMClient, LLMRequest, LLMResponse
 from ..llm.pricing import api_price_per_1k
@@ -44,15 +45,9 @@ __all__ = [
     "activate",
     "deactivate",
     "active_cache",
-    "cache_enabled_from_env",
     "ensure_active_cache",
     "wrap_client",
 ]
-
-#: Environment switches: ``REPRO_CACHE=1`` activates a process-wide cache;
-#: ``REPRO_CACHE_PATH`` additionally persists it as JSON-lines.
-CACHE_ENV = "REPRO_CACHE"
-CACHE_PATH_ENV = "REPRO_CACHE_PATH"
 
 _SEPARATOR = b"\x00"
 
@@ -301,29 +296,20 @@ def active_cache() -> CompletionCache | None:
     return _active
 
 
-def cache_enabled_from_env() -> bool:
-    """Whether ``REPRO_CACHE`` / ``REPRO_CACHE_PATH`` request caching."""
-    value = os.environ.get(CACHE_ENV, "").strip().lower()
-    if value in {"1", "true", "on", "yes"}:
-        return True
-    return bool(os.environ.get(CACHE_PATH_ENV, "").strip())
-
-
 def ensure_active_cache() -> CompletionCache:
-    """Return the active cache, creating one (honouring env vars) if absent."""
+    """Return the active cache, creating one at the run's ``cache_path``."""
     if _active is not None:
         return _active
-    path = os.environ.get(CACHE_PATH_ENV, "").strip() or None
-    return activate(CompletionCache(path=path))
+    return activate(CompletionCache(path=current_settings().cache_path))
 
 
 def wrap_client(client: LLMClient) -> LLMClient:
     """Wrap ``client`` with the active cache; identity when none is active.
 
-    The environment switch is honoured lazily so worker processes forked
-    by the process executor pick the cache up without explicit plumbing.
+    A run whose settings turn the cache on gets one created here, so
+    factories called outside the study grid honour the setting too.
     """
-    if _active is None and cache_enabled_from_env():
+    if _active is None and current_settings().cache:
         ensure_active_cache()
     if _active is None:
         return client

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from ..config import StudyConfig
+from ..config import StudyConfig, current_settings
 from ..data.generators import build_all_datasets
 from ..errors import (
     CellExecutionError,
@@ -272,26 +272,6 @@ def run_cell_guarded(cell: GridCell, cell_retries: int = 1) -> "CellResult | Cel
                 )
 
 
-def _resolve_cell_retries(explicit: int | None, config: StudyConfig | None) -> int:
-    """Cell retry budget: explicit arg > ``REPRO_CELL_RETRIES`` > config > 1."""
-    if explicit is not None:
-        return explicit
-    from_env = wiring.cell_retries_from_env()
-    if from_env is not None:
-        return from_env
-    return config.cell_retries if config is not None else 1
-
-
-def _resolve_fail_fast(explicit: bool | None, config: StudyConfig | None) -> bool:
-    """Fail-fast switch: explicit arg > ``REPRO_FAIL_FAST`` > config > off."""
-    if explicit is not None:
-        return explicit
-    from_env = wiring.fail_fast_from_env()
-    if from_env is not None:
-        return from_env
-    return config.fail_fast if config is not None else False
-
-
 def split_failures(
     outcomes: list["CellResult | CellFailure"],
 ) -> tuple[list[CellResult], list[CellFailure]]:
@@ -337,9 +317,8 @@ def run_cells(
     returned list (and into ``stats``) unless ``fail_fast`` resolves
     true, in which case the first failure raises
     :class:`~repro.errors.CellExecutionError`.  ``cell_retries`` and
-    ``fail_fast`` default from the environment
-    (``REPRO_CELL_RETRIES`` / ``REPRO_FAIL_FAST``) and then the cells'
-    :class:`~repro.config.StudyConfig`.
+    ``fail_fast`` default to the run's
+    :class:`~repro.config.RunSettings`.
 
     With a :class:`~repro.runtime.journal.CellJournal` attached, cells
     already present in the journal are *replayed* from disk instead of
@@ -349,9 +328,9 @@ def run_cells(
     A worker process that dies or hangs mid-cell degrades into the same
     :class:`CellFailure` path via the executor's crash containment.
     """
-    config = cells[0].config if cells else None
-    retries = _resolve_cell_retries(cell_retries, config)
-    abort_on_failure = _resolve_fail_fast(fail_fast, config)
+    settings = current_settings()
+    retries = settings.cell_retries if cell_retries is None else cell_retries
+    abort_on_failure = settings.fail_fast if fail_fast is None else fail_fast
     worker = partial(run_cell_guarded, cell_retries=retries)
 
     outcomes: list["CellResult | CellFailure | None"] = [None] * len(cells)

@@ -46,8 +46,9 @@ __all__ = ["JOURNAL_VERSION", "cell_key", "CellJournal"]
 JOURNAL_VERSION = 1
 
 #: StudyConfig fields that can change a cell's result and therefore key
-#: material.  Runtime knobs (workers, executor_backend, cell_retries,
-#: fail_fast) and the profile label are deliberately absent: they are
+#: material.  The profile label is deliberately absent, and so are the
+#: run's :class:`~repro.config.RunSettings` (workers, backend, retries,
+#: fail-fast, ...) other than the inference precision: they are
 #: parity-tested to never change table values, so a journal survives
 #: being resumed under a different runtime configuration.
 _CONFIG_KEY_FIELDS = (
@@ -72,9 +73,9 @@ def _config_key_material(config) -> dict:
     # not be replayed under the other.  The fast path itself and length
     # bucketing are excluded on purpose: both are parity-tested to leave
     # predictions unchanged.
-    from ..config import get_inference_config
+    from ..config import current_settings
 
-    material["inference_float32"] = get_inference_config().float32
+    material["inference_float32"] = current_settings().inference.float32
     return material
 
 

@@ -162,7 +162,13 @@ def _make_handler(service: MatchService) -> type[BaseHTTPRequestHandler]:
 
         def _read_request(self) -> dict:
             """Parse the JSON request body (raises ServingError when bad)."""
-            length = int(self.headers.get("Content-Length") or 0)
+            raw_length = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw_length)
+            except ValueError:
+                raise ServingError(
+                    f"Content-Length {raw_length!r} is not an integer"
+                ) from None
             if length > MAX_BODY_BYTES:
                 remaining = min(length, _DRAIN_CAP_BYTES)
                 while remaining > 0:

@@ -32,59 +32,25 @@ yielding a byte-identical ``full_study.json``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from ..config import StudyConfig, get_profile
+from ..config import (
+    RunSettings,
+    StudyConfig,
+    current_settings,
+    get_profile,
+    use_settings,
+)
 from ..errors import ConfigurationError
 from ..obs.wiring import activate_observability
 from ..reliability import Clock, FaultPlan, RetryPolicy, SystemClock
-from ..reliability.wiring import (
-    FAIL_FAST_ENV,
-    FAULTS_ENV,
-    RETRY_ENV,
-    activate_faults,
-    activate_policy,
-)
-from ..runtime.cache import (
-    CompletionCache,
-    activate,
-    active_cache,
-    cache_enabled_from_env,
-)
-from ..runtime.executor import (
-    make_executor,
-    resolve_backend,
-    resolve_cell_timeout,
-    resolve_workers,
-)
+from ..runtime.cache import CompletionCache, activate, active_cache
+from ..runtime.executor import make_executor
 from ..runtime.journal import CellJournal
 from ..runtime.persist import atomic_write_json
 from ..runtime.stats import RuntimeStats
 from . import figures, findings, table3, table4, table5, table6
-
-
-def _configure_reliability(
-    retries: int | None, faults: str | None, fail_fast: bool | None
-) -> None:
-    """Install the requested reliability configuration process-wide.
-
-    Activation goes through both the in-process globals (serial and
-    thread cells) *and* ``os.environ`` (so fork-context process-pool
-    workers, which honour the env lazily exactly like the completion
-    cache, see an identical configuration).
-    """
-    if faults:
-        plan = activate_faults(FaultPlan.parse(faults))
-        os.environ[FAULTS_ENV] = plan.to_spec()
-    if retries is not None:
-        # ``--retries N`` = N retries after the first attempt; 0 disables
-        # retrying but keeps response validation on.
-        policy = activate_policy(RetryPolicy(max_attempts=retries + 1))
-        os.environ[RETRY_ENV] = policy.to_spec()
-    if fail_fast:
-        os.environ[FAIL_FAST_ENV] = "1"
 
 
 def default_journal_path(out_path: Path) -> Path:
@@ -152,28 +118,54 @@ def run_study(
     reporting (``wall_clock_seconds``, the per-row progress lines) is
     measured against — a :class:`~repro.reliability.clock.FakeClock`
     makes those values exact in tests.  Defaults to the system clock.
+
+    Every keyword left ``None`` falls back to the installed
+    :class:`~repro.config.RunSettings`, else its ``REPRO_*`` variable.
+    The resolved settings are installed for the duration of the run
+    only; the completion cache the run activates stays installed so
+    callers can read its counters afterwards.
     """
-    clock = clock or SystemClock()
-    started = clock.monotonic()
-    n_workers = resolve_workers(workers, config)
-    backend_name = resolve_backend(backend, config, workers=n_workers)
-    _configure_reliability(retries, faults, fail_fast)
-    if use_cache is None:
-        use_cache = cache_enabled_from_env()
-    if use_cache and active_cache() is None:
-        activate(CompletionCache(path=cache_path))
-    stats = RuntimeStats(workers=n_workers, backend=backend_name)
-    obs = activate_observability(
-        str(trace_path) if trace_path is not None else None
+    settings = current_settings().with_overrides(
+        workers=workers,
+        backend=backend,
+        cache=use_cache,
+        cache_path=cache_path,
+        # ``--retries N`` = N retries after the first attempt; 0 disables
+        # retrying but keeps response validation on.
+        retry=None if retries is None else RetryPolicy(max_attempts=retries + 1),
+        faults=FaultPlan.parse(faults) if faults else None,
+        fail_fast=fail_fast,
+        cell_timeout_s=cell_timeout_s,
+        trace_path=None if trace_path is None else str(trace_path),
     )
+    with use_settings(settings):
+        return _run_study(
+            config, out_path, settings, codes, matchers,
+            export_artifacts, journal_path, resume, clock or SystemClock(),
+        )
+
+
+def _run_study(
+    config: StudyConfig,
+    out_path: Path,
+    settings: RunSettings,
+    codes: tuple[str, ...] | None,
+    matchers: tuple[str, ...] | None,
+    export_artifacts: str | None,
+    journal_path: str | Path | None,
+    resume: bool,
+    clock: Clock,
+) -> dict:
+    """The body of :func:`run_study`, run under its installed settings."""
+    started = clock.monotonic()
+    use_cache = settings.cache
+    if use_cache and active_cache() is None:
+        activate(CompletionCache(path=settings.cache_path))
+    stats = RuntimeStats(workers=settings.workers, backend=settings.executor_backend)
+    obs = activate_observability()
     if obs is not None and obs.trace_path:
         print(f"[full_run] tracing spans -> {obs.trace_path}", flush=True)
-    executor = make_executor(
-        workers=n_workers,
-        backend=backend_name,
-        config=config,
-        cell_timeout_s=resolve_cell_timeout(cell_timeout_s),
-    )
+    executor = make_executor()
 
     journal = None
     if journal_path is not None or resume:
@@ -188,7 +180,7 @@ def run_study(
                 "profile": config.name,
                 "codes": list(codes or ()),
                 "resumed": resume,
-                "faults": faults or "",
+                "faults": settings.faults.to_spec() if settings.faults else "",
             }
         )
         stats.merge_resume(
@@ -339,7 +331,7 @@ def run_study(
         # ``tests/study/test_warm_cache_retry.py`` pins this behaviour.
         cache = active_cache()
         if use_cache and cache is not None:
-            target = cache_path or cache.path
+            target = settings.cache_path or cache.path
             if target is not None:
                 saved_to = cache.save(target)
                 print(f"[runtime] completion cache ({len(cache)} entries) -> {saved_to}",
@@ -439,15 +431,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="export a self-checksummed JSONL span trace to this path and "
-             "add an 'observability' block to the output (default: "
-             "REPRO_TRACE env var, else observability stays off and the "
-             "output is byte-identical to an untraced run)",
+             "add an 'observability' block to the output (default: the env "
+             "var REPRO_TRACE, else observability stays off and the output "
+             "is byte-identical to an untraced run)",
     )
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell wall-clock watchdog: a cell stuck past this long is "
-             "abandoned as a retryable CellFailure (default: "
-             "REPRO_CELL_TIMEOUT_S env var, else no watchdog)",
+             "abandoned as a retryable CellFailure (default: the env "
+             "var REPRO_CELL_TIMEOUT_S, else no watchdog)",
     )
     args = parser.parse_args(argv)
     codes = tuple(c for c in args.codes.split(",") if c) or None

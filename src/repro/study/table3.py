@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..config import StudyConfig, get_profile
+from ..config import StudyConfig, current_settings, get_profile
 from ..eval.loo import LeaveOneOutRunner, StudyResult
 from ..eval.reporting import format_table3
 from ..runtime import grid
-from ..runtime.cache import cache_enabled_from_env
 from ..runtime.executor import StudyExecutor, make_executor
 from ..runtime.stats import RuntimeStats
 from .roster import ROSTER_ORDER, build_roster
@@ -55,8 +54,8 @@ def run(
     run short (the trained matchers dominate the wall-clock cost).
 
     The grid of ``(matcher, target)`` cells is dispatched through
-    ``executor`` (default: whatever ``REPRO_WORKERS`` / the config
-    select; serial when unset).  Cells are independent and fully seeded,
+    ``executor`` (default: the pool the run's
+    :class:`~repro.config.RunSettings` select; serial when unset).  Cells are independent and fully seeded,
     so every backend returns bit-identical results.  With ``journal`` (a
     :class:`~repro.runtime.journal.CellJournal`) attached, finished cells
     are replayed from disk and new ones journaled as they complete.
@@ -64,9 +63,9 @@ def run(
     config = config or get_profile("default")
     matcher_names = matcher_names or ROSTER_ORDER
     if use_cache is None:
-        use_cache = cache_enabled_from_env()
+        use_cache = current_settings().cache
     owns_executor = executor is None
-    executor = executor or make_executor(config=config)
+    executor = executor or make_executor()
 
     datasets, world = grid.dataset_bundle(config.dataset_scale, dataset_seed)
     if codes:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import StudyConfig, get_profile
+from ..config import StudyConfig, current_settings, get_profile
 from ..eval.loo import LeaveOneOutRunner, StudyResult
 from ..eval.reporting import format_table3
 from ..llm.profiles import get_profile as get_llm_profile
 from ..llm.prompts import DemonstrationStrategy
 from ..runtime import grid
-from ..runtime.cache import cache_enabled_from_env
 from ..runtime.executor import StudyExecutor, make_executor
 from ..runtime.stats import RuntimeStats
 
@@ -72,9 +71,9 @@ def run(
     """
     config = config or get_profile("default")
     if use_cache is None:
-        use_cache = cache_enabled_from_env()
+        use_cache = current_settings().cache
     owns_executor = executor is None
-    executor = executor or make_executor(config=config)
+    executor = executor or make_executor()
 
     datasets, _world = grid.dataset_bundle(config.dataset_scale, dataset_seed)
     if codes:

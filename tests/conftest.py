@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,6 +17,20 @@ from repro.config import StudyConfig, SurrogateScale
 from repro.data import EMDataset, build_dataset
 from repro.data.record import Record
 from repro.data.pairs import RecordPair
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hermetic_repro_env():
+    """Run every test without the caller's ``REPRO_*`` run settings.
+
+    ``REPRO_BENCH_*`` (benchmark scale knobs, not run settings) pass
+    through.  Tests that exercise a variable set it with ``monkeypatch``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in list(os.environ):
+            if name.startswith("REPRO_") and not name.startswith("REPRO_BENCH_"):
+                patch.delenv(name)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import StudyConfig, SurrogateScale
+from repro.config import RunSettings, StudyConfig, SurrogateScale, use_settings
 from repro.reliability import RetryPolicy
-from repro.reliability.wiring import activate_policy, deactivate_policy
 from repro.runtime.persist import canonical_json
 from repro.study.full_run import run_study
 
@@ -63,8 +62,7 @@ def runs(tmp_path_factory):
     # still holds) because ``llm.request`` spans live inside the
     # retrying client — without it the traced run could not demonstrate
     # the cell -> retry -> batch -> infer coverage the ISSUE pins.
-    activate_policy(RetryPolicy(max_attempts=1))
-    try:
+    with use_settings(RunSettings(retry=RetryPolicy(max_attempts=1))):
         for label in ("plain_a", "plain_b"):
             out = directory / f"{label}.json"
             run_study(config, out, codes=_CODES)
@@ -74,8 +72,6 @@ def runs(tmp_path_factory):
         run_study(config, out, codes=_CODES, trace_path=trace)
         documents["traced"] = json.loads(out.read_text())
         documents["trace_path"] = trace
-    finally:
-        deactivate_policy()
     return documents
 
 

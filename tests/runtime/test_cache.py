@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.config import current_settings
 from repro.errors import CorruptStateError, LLMError
 from repro.llm.batching import BatchJob
 from repro.llm.client import EchoClient, LLMRequest, LLMResponse
@@ -14,7 +15,6 @@ from repro.runtime.cache import (
     CompletionCache,
     activate,
     active_cache,
-    cache_enabled_from_env,
     completion_key,
     deactivate,
     wrap_client,
@@ -174,9 +174,7 @@ class TestPersistence:
 
 
 class TestActiveCache:
-    def test_wrap_is_identity_without_cache(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_PATH", raising=False)
+    def test_wrap_is_identity_without_cache(self):
         client = _CountingClient()
         assert wrap_client(client) is client
 
@@ -191,7 +189,7 @@ class TestActiveCache:
         wrapped = wrap_client(_CountingClient())
         assert isinstance(wrapped, CachedClient)
         assert active_cache() is wrapped.cache
-        assert cache_enabled_from_env()
+        assert current_settings().cache
 
     def test_delta_since_snapshot(self):
         cache = CompletionCache()

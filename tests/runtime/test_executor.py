@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.config import StudyConfig
+from repro.config import RunSettings, use_settings
 from repro.errors import ConfigurationError
 from repro.runtime.executor import (
     ProcessStudyExecutor,
     SerialExecutor,
     ThreadStudyExecutor,
     make_executor,
-    resolve_backend,
-    resolve_workers,
 )
 
 
@@ -57,52 +53,38 @@ class TestMapTasks:
 class TestResolution:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_workers(3) == 3
-
-    def test_env_beats_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None, StudyConfig(workers=2)) == 5
-
-    def test_config_beats_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None, StudyConfig(workers=2)) == 2
-        assert resolve_workers(None, None) == 1
+        assert make_executor(workers=3, backend="thread").workers == 3
 
     def test_bad_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ConfigurationError):
-            resolve_workers(None)
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
+            make_executor()
 
-    def test_backend_auto_depends_on_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_backend(None, workers=1) == "serial"
-        assert resolve_backend(None, workers=4) == "thread"
+    def test_backend_auto_depends_on_workers(self):
+        assert RunSettings(workers=1).executor_backend == "serial"
+        assert RunSettings(workers=4).executor_backend == "thread"
+        assert isinstance(make_executor(workers=4), ThreadStudyExecutor)
 
     def test_backend_env_respected(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        assert resolve_backend(None, workers=4) == "process"
+        assert isinstance(make_executor(workers=4), ProcessStudyExecutor)
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError):
-            resolve_backend("gpu")
+            make_executor(workers=2, backend="gpu")
 
 
 class TestMakeExecutor:
-    def test_single_worker_collapses_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    def test_single_worker_collapses_to_serial(self):
         assert isinstance(make_executor(workers=1, backend="thread"), SerialExecutor)
         assert isinstance(make_executor(), SerialExecutor)
 
     def test_env_selects_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
         executor = make_executor()
         assert isinstance(executor, ThreadStudyExecutor)
         assert executor.workers == 3
 
-    def test_config_selects_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        config = StudyConfig(workers=2, executor_backend="process")
-        assert isinstance(make_executor(config=config), ProcessStudyExecutor)
+    def test_config_selects_pool(self):
+        with use_settings(RunSettings(workers=2, backend="process")):
+            assert isinstance(make_executor(), ProcessStudyExecutor)

@@ -9,11 +9,10 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runtime.executor import (
-    CELL_TIMEOUT_ENV,
     ProcessStudyExecutor,
     SerialExecutor,
     ThreadStudyExecutor,
-    resolve_cell_timeout,
+    make_executor,
 )
 
 _CRASH_INPUT = 13
@@ -123,21 +122,23 @@ class TestSerialCallbacks:
 
 
 class TestResolveCellTimeout:
+    def _timeout(self, **explicit):
+        return make_executor(workers=2, backend="thread", **explicit).cell_timeout_s
+
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "60")
-        assert resolve_cell_timeout(2.5) == 2.5
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT_S", "60")
+        assert self._timeout(cell_timeout_s=2.5) == 2.5
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "1.5")
-        assert resolve_cell_timeout() == 1.5
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT_S", "1.5")
+        assert self._timeout() == 1.5
 
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(CELL_TIMEOUT_ENV, raising=False)
-        assert resolve_cell_timeout() is None
+    def test_unset_means_off(self):
+        assert self._timeout() is None
 
     def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(CELL_TIMEOUT_ENV, "soon")
         with pytest.raises(ConfigurationError):
-            resolve_cell_timeout()
-        with pytest.raises(ConfigurationError):
-            resolve_cell_timeout(0)
+            self._timeout(cell_timeout_s=0)
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT_S", "soon")
+        with pytest.raises(ConfigurationError, match="REPRO_CELL_TIMEOUT_S"):
+            self._timeout()

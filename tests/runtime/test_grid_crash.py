@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import get_profile
+from repro.config import RunSettings, get_profile, use_settings
 from repro.reliability import faults
-from repro.reliability.wiring import FAULTS_ENV, deactivate_faults
 from repro.runtime import grid
 from repro.runtime.executor import ProcessStudyExecutor, SerialExecutor
 from repro.runtime.journal import CellJournal
@@ -39,12 +38,10 @@ def _matchgpt_cell(code: str) -> grid.GridCell:
 
 
 @pytest.fixture()
-def _crash_plan(monkeypatch):
-    """Arm a crash-at-first-LLM-call plan for forked pool workers."""
-    deactivate_faults()
-    monkeypatch.setenv(FAULTS_ENV, "crash_at=1")
-    yield
-    deactivate_faults()
+def _crash_plan():
+    """Arm a crash-at-first-LLM-call plan for the pool workers."""
+    with use_settings(RunSettings(faults=faults.FaultPlan(crash_at=1))):
+        yield
     faults.reset_crash_state()
 
 

@@ -11,24 +11,19 @@ retries disabled, the same faults degrade into structured
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from repro.config import StudyConfig, SurrogateScale
+from repro.config import RunSettings, StudyConfig, SurrogateScale, use_settings
 from repro.errors import CellExecutionError
-from repro.reliability import (
-    FaultPlan,
-    RetryPolicy,
-    activate_faults,
-    activate_policy,
-    counters,
-    deactivate_faults,
-    deactivate_policy,
-)
+from repro.reliability import FaultPlan, RetryPolicy, counters
 from repro.runtime import grid
 from repro.runtime.cache import deactivate
-from repro.runtime.executor import SerialExecutor, ThreadStudyExecutor
+from repro.runtime.executor import (
+    ProcessStudyExecutor,
+    SerialExecutor,
+    ThreadStudyExecutor,
+)
 from repro.runtime.stats import RuntimeStats
 from repro.study import table3
 
@@ -53,20 +48,16 @@ _CODES = ("ABT", "BEER")
 _PLAN = FaultPlan(transient_rate=0.2, rate_limit_rate=0.03,
                   malformed_rate=0.02, retry_after_s=0.0, seed=3)
 _POLICY = RetryPolicy(max_attempts=4, base_delay_s=0.0, max_delay_s=0.0)
+#: Faults the retry layer absorbs, and the same faults with retries off.
+_RETRYING = RunSettings(faults=_PLAN, retry=_POLICY)
+_NOT_RETRYING = RunSettings(faults=_PLAN, retry=_POLICY.without_retries())
 
 
 @pytest.fixture(autouse=True)
-def _clean_reliability_state(monkeypatch):
-    for env in ("REPRO_RETRY", "REPRO_FAULTS", "REPRO_FAIL_FAST",
-                "REPRO_CELL_RETRIES", "REPRO_CACHE", "REPRO_CACHE_PATH"):
-        monkeypatch.delenv(env, raising=False)
+def _no_active_cache():
     deactivate()
-    deactivate_policy()
-    deactivate_faults()
     yield
     deactivate()
-    deactivate_policy()
-    deactivate_faults()
 
 
 def _table3_json(executor, stats=None) -> str:
@@ -87,11 +78,9 @@ class TestFaultParity:
     def test_injected_faults_leave_tables_byte_identical(self):
         reference = _table3_json(SerialExecutor())
 
-        activate_faults(_PLAN)
-        activate_policy(_POLICY)
         before = counters.snapshot()
         stats = RuntimeStats(workers=4, backend="thread")
-        with ThreadStudyExecutor(4) as executor:
+        with use_settings(_RETRYING), ThreadStudyExecutor(4) as executor:
             faulted = _table3_json(executor, stats=stats)
         delta = counters.delta_since(before)
 
@@ -107,9 +96,21 @@ class TestFaultParity:
         assert reported["cell_failures"] == 0
         assert stats.reliability_active
 
+    def test_process_workers_receive_the_fault_plan(self):
+        # No REPRO_* variable is set: the workers get the plan and the
+        # policy from the parent's installed settings.
+        reference = _table3_json(SerialExecutor())
+        stats = RuntimeStats(workers=4, backend="process")
+        with use_settings(_RETRYING), ProcessStudyExecutor(4) as executor:
+            faulted = _table3_json(executor, stats=stats)
+        assert faulted == reference
+        reported = stats.as_dict()["reliability"]
+        assert reported["faults_injected"] > 0
+        assert reported["request_retries"] > 0
+        assert reported["cell_failures"] == 0
+
+    @use_settings(_RETRYING)
     def test_serial_and_threaded_fault_runs_match(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY)
         serial = _table3_json(SerialExecutor())
         with ThreadStudyExecutor(4) as executor:
             threaded = _table3_json(executor)
@@ -117,9 +118,8 @@ class TestFaultParity:
 
 
 class TestGracefulDegradation:
+    @use_settings(_NOT_RETRYING)
     def test_disabled_retries_degrade_into_cell_failures(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
         stats = RuntimeStats()
         result = table3.run(
             _CONFIG, _MATCHERS, codes=_CODES, executor=SerialExecutor(),
@@ -143,19 +143,19 @@ class TestGracefulDegradation:
         block = stats.as_dict()
         assert block["cell_failures"] == stats.cell_failures
 
+    @use_settings(_NOT_RETRYING.with_overrides(fail_fast=True))
     def test_fail_fast_aborts_on_first_failure(self):
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
-        config = replace(_CONFIG, fail_fast=True)
         with pytest.raises(CellExecutionError):
             table3.run(
-                config, _MATCHERS, codes=_CODES, executor=SerialExecutor()
+                _CONFIG, _MATCHERS, codes=_CODES, executor=SerialExecutor()
             )
 
     def test_fail_fast_env_overrides_config(self, monkeypatch):
+        # No settings installed: faults, retries and fail-fast all
+        # resolve from the environment.
         monkeypatch.setenv("REPRO_FAIL_FAST", "1")
-        activate_faults(_PLAN)
-        activate_policy(_POLICY.without_retries())
+        monkeypatch.setenv("REPRO_FAULTS", _PLAN.to_spec())
+        monkeypatch.setenv("REPRO_RETRY", _POLICY.without_retries().to_spec())
         with pytest.raises(CellExecutionError):
             table3.run(
                 _CONFIG, _MATCHERS, codes=_CODES, executor=SerialExecutor()

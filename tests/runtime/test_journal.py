@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.config import get_profile
+from repro.config import (
+    InferenceConfig,
+    RunSettings,
+    get_profile,
+    inference_overrides,
+    use_settings,
+)
 from repro.errors import CorruptStateError
 from repro.eval.loo import SeedScore, TargetResult
-from repro.reliability import faults
+from repro.reliability import RetryPolicy, faults
 from repro.runtime.grid import CellFailure, CellResult, GridCell
 from repro.runtime.journal import JOURNAL_VERSION, CellJournal, cell_key
 
@@ -74,9 +78,33 @@ class TestCellKey:
         assert cell_key(_cell(config=get_profile("default"))) != base
 
     def test_insensitive_to_runtime_knobs(self):
-        smoke = get_profile("smoke")
-        reconfigured = dataclasses.replace(smoke, workers=8, cell_retries=5)
-        assert cell_key(_cell()) == cell_key(_cell(config=reconfigured))
+        reconfigured = RunSettings(
+            workers=8,
+            backend="process",
+            cell_timeout_s=30.0,
+            cell_retries=5,
+            fail_fast=True,
+            cache=True,
+            retry=RetryPolicy(max_attempts=3),
+            faults=faults.FaultPlan(transient_rate=0.2, seed=3),
+            obs=True,
+            inference=InferenceConfig(fast_path=False, bucketing=False),
+        )
+        base = cell_key(_cell())
+        with use_settings(reconfigured):
+            assert cell_key(_cell()) == base
+
+    def test_sensitive_to_inference_precision(self):
+        base = cell_key(_cell())
+        with inference_overrides(float32=False):
+            assert cell_key(_cell()) != base
+
+    def test_key_digest_is_pinned(self):
+        # Computed by an earlier release: journals it wrote must still
+        # resume, so the key material may not drift.
+        assert cell_key(_cell()) == (
+            "68d4a368c21cccc0edb045c7e564212404c6be4f488ce635c8b048c1c78b1c4b"
+        )
 
 
 class TestRoundTrip:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -33,6 +34,18 @@ def _get(url: str, path: str) -> tuple[int, dict]:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _raw_post(address: tuple[str, int], headers: str) -> tuple[int, dict]:
+    """Send a hand-written, body-less POST /match; parse the raw reply."""
+    request = f"POST /match HTTP/1.1\r\nHost: test\r\n{headers}\r\n\r\n"
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request.encode("latin-1"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class _GatedMatcher(Matcher):
@@ -112,6 +125,13 @@ class TestErrorMapping:
         status, body = _post(server.url, {"record": ["a"]})
         assert status == 400
         assert body["error"] == "ServingError"
+
+    @pytest.mark.parametrize("length", ["abc", "1e3"])
+    def test_non_integer_content_length_is_400(self, server, length):
+        status, body = _raw_post(server.address, f"Content-Length: {length}")
+        assert status == 400
+        assert body["error"] == "ServingError"
+        assert length in body["detail"]
 
     def test_unknown_path_is_404(self, server):
         assert _get(server.url, "/nope")[0] == 404

@@ -40,9 +40,6 @@ def _isolated(monkeypatch):
     # The run must issue LLM completions for the cache to matter, so keep
     # exactly one LLM-backed row (full_run reads ROSTER_ORDER lazily).
     monkeypatch.setattr(roster, "ROSTER_ORDER", ("MatchGPT[GPT-4o-Mini]",))
-    for env in ("REPRO_CACHE", "REPRO_CACHE_PATH", "REPRO_RETRY",
-                "REPRO_FAULTS", "REPRO_FAIL_FAST", "REPRO_CELL_RETRIES"):
-        monkeypatch.delenv(env, raising=False)
     cache_mod.deactivate()
     yield
     cache_mod.deactivate()
